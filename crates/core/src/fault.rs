@@ -3,7 +3,7 @@
 //! The serving stack (server reactor, router, store) funnels every raw
 //! syscall-ish operation — stream reads/writes, `accept`, `epoll_wait`,
 //! non-blocking `connect`, eventfd wakeups, `mmap` — through a single
-//! [`check`] hook keyed by [`Op`]. Tests install a [`Script`]: an ordered
+//! [`check`] hook keyed by [`Op`]. Tests install a `Script`: an ordered
 //! rule table saying "on the N-th `Read`, return `EINTR`", "every other
 //! `Write` is short", "the first `Mmap` fails with `ENOMEM`". The faulted
 //! call *does not happen*; the injected outcome flows through the exact

@@ -11,8 +11,9 @@
 //! directly with no skip predicate and no rank lookups.
 //!
 //! On top of the sparsification, the view is **degree-ordered**: the
-//! materialised CSR is renumbered by decreasing degree
-//! ([`hcl_graph::subgraph::relabel_by_degree`]), so the high-degree
+//! materialised CSR is renumbered by the canonical degree order —
+//! decreasing degree in `G[V∖R]`, ties by increasing original id
+//! ([`hcl_graph::order::degree_descending_ranks`]) — so the high-degree
 //! vertices that dominate BFS frontiers sit in adjacent cache lines.
 //! Queries still address original vertex ids — [`SparseView::view_of`]
 //! translates the two endpoints once at the query boundary, and the search
@@ -21,11 +22,11 @@
 //! still isolated.
 //!
 //! The view is derived state: it is a deterministic function of the graph
-//! and the landmark set (degree order breaks ties by original id), rebuilt
-//! whenever either changes — the packed `IndexView` rebuilds the *same*
-//! view from its on-disk original-space CSR at open time.
+//! and the landmark set, rebuilt whenever either changes.
 //! [`SharedOracle`](crate::SharedOracle) owns one per index generation, so
-//! a hot reload swaps the view atomically with the labelling.
+//! a hot reload swaps the view atomically with the labelling. The packed
+//! format (`hcl-store`) stores the rows in the same canonical order, so a
+//! packed `IndexView` serves them straight from the file mapping.
 
 use crate::highway::Highway;
 use hcl_graph::{CsrGraph, VertexId};
@@ -55,23 +56,13 @@ pub struct SparseView {
 impl SparseView {
     /// Materialises the degree-ordered `G[V∖R]` for `graph` under
     /// `highway`'s landmark set: one `O(n + m)` sparsification pass, then
-    /// the deterministic degree relabelling.
+    /// the canonical degree relabelling (a counting sort plus a direct CSR
+    /// permutation).
     pub fn build(graph: &CsrGraph, highway: &Highway) -> Self {
         let sparse = graph.without_vertices(highway.landmarks());
         let removed_edges = graph.num_edges() - sparse.num_edges();
-        Self::from_original_space(sparse, removed_edges)
-    }
-
-    /// Builds the view from an already-sparsified graph in **original** id
-    /// space (landmarks isolated, ids unchanged). This is the constructor
-    /// the packed `IndexView` uses at open time: the on-disk sparse CSR is
-    /// stored in original ids, and because the degree relabelling is
-    /// deterministic (ties broken by ascending original id), the packed and
-    /// in-memory paths reconstruct byte-identical views from it.
-    pub fn from_original_space(sparse: CsrGraph, removed_edges: usize) -> Self {
-        let n = sparse.num_vertices();
         let (relabelled, to_orig) = hcl_graph::subgraph::relabel_by_degree(&sparse);
-        let to_view = hcl_graph::order::ranks(n, &to_orig);
+        let to_view = hcl_graph::order::ranks(sparse.num_vertices(), &to_orig);
         SparseView { graph: relabelled, to_view, to_orig, removed_edges }
     }
 
@@ -82,6 +73,8 @@ impl SparseView {
     /// degree changed keeps its old slot), which costs nothing for
     /// correctness: the bounded searches only require the view to contain
     /// exactly the edges of `G[V∖R]`, and the next full build re-sorts.
+    /// (The packer does not trust the stale order either: it re-derives
+    /// the canonical one from the current degrees.)
     ///
     /// An edit incident to a landmark never touches the view's edges (they
     /// are sparsified away); only the [`removed_edges`](Self::removed_edges)
@@ -147,8 +140,9 @@ impl SparseView {
     }
 
     /// The sorted neighbour list of *original-space* vertex `v`, translated
-    /// back to original ids. Cold-path helper for the packer, which stores
-    /// the sparse CSR on disk in original id space (see `docs/FORMAT.md`).
+    /// back to original ids. Allocates and sorts per call: a reference
+    /// accessor for tests.
+    #[cfg(any(test, feature = "testing"))]
     pub fn original_neighbors(&self, v: VertexId) -> Vec<VertexId> {
         let mut row: Vec<VertexId> = self
             .graph

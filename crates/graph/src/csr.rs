@@ -197,37 +197,6 @@ impl CsrGraph {
         debug_assert_eq!(*offsets.last().unwrap(), adj.len());
         CsrGraph { offsets, adj }
     }
-
-    /// Constructs a CSR directly from a validated offset/adjacency pair —
-    /// the checked public counterpart of the internal builder path, for
-    /// callers that already hold CSR-shaped data (e.g. `hcl-store`
-    /// reconstructing the sparsified graph from mapped file sections).
-    ///
-    /// Checks shape only: `offsets[0] == 0`, monotone offsets ending at
-    /// `adj.len()`, every neighbour id `< n`, and each row strictly sorted
-    /// (which also rules out duplicates). Symmetry is the caller's
-    /// contract, as with [`GraphBuilder`]-produced graphs.
-    pub fn from_csr_parts(offsets: Vec<usize>, adj: Vec<VertexId>) -> Result<Self, GraphError> {
-        if offsets.is_empty() || offsets[0] != 0 || *offsets.last().unwrap() != adj.len() {
-            return Err(GraphError::Format("offsets must run from 0 to adj.len()".into()));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(GraphError::Format("offsets must be monotone".into()));
-        }
-        let n = offsets.len() - 1;
-        for v in 0..n {
-            let row = &adj[offsets[v]..offsets[v + 1]];
-            if row.iter().any(|&w| w as usize >= n) {
-                return Err(GraphError::Format(format!("neighbour out of range at vertex {v}")));
-            }
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(GraphError::Format(format!(
-                    "adjacency of vertex {v} not strictly sorted"
-                )));
-            }
-        }
-        Ok(CsrGraph { offsets, adj })
-    }
 }
 
 /// Read-only adjacency access, the storage-backend seam of the query fast

@@ -319,10 +319,16 @@ impl BatchExecutor {
 impl Drop for BatchExecutor {
     fn drop(&mut self) {
         // Disconnect the channel so workers drain outstanding chunks and
-        // exit, then join them.
+        // exit, then join them. When the last handle is dropped inside a
+        // completion callback, this runs on a worker: that one is
+        // detached, not joined (joining itself would deadlock), and exits
+        // on its next `recv`.
         self.injector = None;
+        let me = std::thread::current().id();
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            if worker.thread().id() != me {
+                let _ = worker.join();
+            }
         }
     }
 }
@@ -479,6 +485,37 @@ mod tests {
         // Disabling the deadline restores normal service.
         service.set_request_deadline(None);
         assert!(executor.execute(&pairs(50, 500)).is_ok());
+    }
+
+    #[test]
+    fn dropping_the_last_handle_inside_a_callback_detaches_only_that_worker() {
+        use std::sync::mpsc;
+
+        let service = service(0);
+        let executor = Arc::new(BatchExecutor::new(Arc::clone(&service), 3));
+        let (tx, rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let handle = Arc::clone(&executor);
+        let probe = Arc::downgrade(&service);
+        executor
+            .submit(
+                pairs(8, 500),
+                Box::new(move |results| {
+                    // Once the test has let go, this is the last strong
+                    // handle: `BatchExecutor::drop` runs on this worker.
+                    gate_rx.recv().unwrap();
+                    drop(handle);
+                    // Joined workers have dropped their service handles;
+                    // what remains is the test's and this worker's own.
+                    tx.send((results.is_ok(), probe.strong_count())).unwrap();
+                }),
+            )
+            .unwrap();
+        drop(executor);
+        gate_tx.send(()).unwrap();
+        let (ok, holders) = rx.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
+        assert!(ok, "the batch was answered");
+        assert_eq!(holders, 2, "the other two workers were joined before drop returned");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The `HCLSTOR1` container writer and the format constants shared with the
-//! reader ([`IndexView`](crate::IndexView)). `docs/FORMAT.md` is the
-//! normative spec; this module is its reference implementation.
+//! The `HCLSTOR1` container writer (format version 2) and the format
+//! constants shared with the reader ([`IndexView`](crate::IndexView)).
+//! `docs/FORMAT.md` is the normative spec; this module is its reference
+//! implementation.
 //!
 //! A packed index is one file holding everything a shard needs to serve:
 //!
@@ -10,8 +11,8 @@
 //! | `HIGHWAY` | 2 | `r² × u32` row-major distance matrix (`u32::MAX` = disconnected) |
 //! | `LABEL_OFFSETS` | 3 | `(n+1) × u32` byte offsets into `LABEL_DATA` |
 //! | `LABEL_DATA` | 4 | per-vertex delta-varint label streams |
-//! | `SPARSE_OFFSETS` | 5 | `(n+1) × u32` entry offsets into `SPARSE_ADJ` |
-//! | `SPARSE_ADJ` | 6 | sparsified-CSR adjacency, `u32` per neighbour |
+//! | `SPARSE_DEGREES` | 5 | `(n+1) × u32` prefix sums of the sparse degrees, original-id order |
+//! | `SPARSE_ADJ` | 6 | sparsified-CSR rows in canonical degree order, neighbours as view ids |
 //!
 //! All integers are little-endian. Every section starts 8-byte aligned and
 //! carries a lane-interleaved FNV-1a 64 checksum
@@ -23,22 +24,33 @@
 //! strict sort makes every gap non-negative, and on real indexes nearly
 //! every varint is one byte, which is where the ≥25% size cut over the
 //! plain `u16`-pair format comes from.
+//!
+//! The sparsified graph is stored in **view space**: section 6 holds the
+//! rows in the canonical degree order
+//! ([`hcl_graph::order::degree_descending_ranks`]: sparse degree
+//! descending, then original id ascending), each listing its neighbours as
+//! sorted view ids. The permutation itself is not stored — the reader
+//! re-derives it from the degrees in section 5 with the same counting sort
+//! — so the file is exactly as large as an original-space CSR, and the
+//! bounded search reads its rows straight out of the mapping.
 
 use crate::varint;
 use crate::StoreError;
 use hcl_core::{HighwayCoverLabelling, SparseView};
+use hcl_graph::VertexId;
 use std::io::Write;
 use std::path::Path;
 
 /// File magic: `HCLSTOR1`.
 pub const MAGIC: &[u8; 8] = b"HCLSTOR1";
-/// Container version this crate writes and reads.
-pub const VERSION: u32 = 1;
+/// Container version this crate writes and reads. Version 1 stored the
+/// sparse rows in original id space; readers reject it.
+pub const VERSION: u32 = 2;
 /// Fixed header size in bytes (magic through `total_label_entries`).
 pub const HEADER_BYTES: usize = 40;
 /// Size of one section-table entry in bytes.
 pub const SECTION_ENTRY_BYTES: usize = 32;
-/// Number of sections in a v1 file (each kind exactly once, in kind order).
+/// Number of sections in a file (each kind exactly once, in kind order).
 pub const SECTION_COUNT: usize = 6;
 
 /// Landmark vertex ids, rank order.
@@ -49,9 +61,9 @@ pub const SECTION_HIGHWAY: u32 = 2;
 pub const SECTION_LABEL_OFFSETS: u32 = 3;
 /// Delta-varint label streams.
 pub const SECTION_LABEL_DATA: u32 = 4;
-/// Per-vertex entry offsets into `SPARSE_ADJ`.
-pub const SECTION_SPARSE_OFFSETS: u32 = 5;
-/// Sparsified-CSR adjacency entries.
+/// Prefix sums of the per-vertex sparse degrees, in original id order.
+pub const SECTION_SPARSE_DEGREES: u32 = 5;
+/// Sparsified-CSR rows in canonical degree order, view-id entries.
 pub const SECTION_SPARSE_ADJ: u32 = 6;
 
 /// Conventional file extension for packed indexes (`index.hclx`); path
@@ -136,32 +148,47 @@ pub fn pack(labelling: &HighwayCoverLabelling, sparse: &SparseView) -> Result<Ve
         .map_err(|_| StoreError::Invalid("label data exceeds 4 GiB".into()))?;
     push_u32(&mut label_offsets, total);
 
-    // Sections 5 + 6: sparsified CSR, stored in **original** id space
-    // regardless of the view's in-memory degree ordering (the relabelling
-    // is a decode-time representation — readers rebuild it at open, and
-    // keeping the file in original ids leaves the v1 layout unchanged).
-    let mut sparse_offsets = Vec::with_capacity(4 * (n + 1));
-    let mut sparse_adj = Vec::with_capacity(8 * sparse.num_edges());
-    let mut count: u64 = 0;
-    for v in 0..n as u32 {
-        let at = u32::try_from(count)
-            .map_err(|_| StoreError::Invalid("sparse adjacency exceeds u32 entries".into()))?;
-        push_u32(&mut sparse_offsets, at);
-        for w in sparse.original_neighbors(v) {
+    // Sections 5 + 6: the sparsified CSR in view space. The order is
+    // re-derived from the view's current degrees rather than taken from
+    // the view: a view patched by `SparseView::with_edit` keeps a stale
+    // order, and the reader derives the canonical one from section 5.
+    let graph = sparse.graph();
+    let degree = |v: VertexId| graph.degree(sparse.view_of(v));
+    let to_view = hcl_graph::order::degree_descending_ranks(n, degree);
+    let order = hcl_graph::order::ranks(n, &to_view); // the inverse permutation
+    let too_many = || StoreError::Invalid("sparse adjacency exceeds u32 entries".into());
+    let mut sparse_degrees = Vec::with_capacity(4 * (n + 1));
+    let mut count: u32 = 0;
+    push_u32(&mut sparse_degrees, 0);
+    for v in 0..n as VertexId {
+        count = u32::try_from(degree(v))
+            .ok()
+            .and_then(|d| count.checked_add(d))
+            .ok_or_else(too_many)?;
+        push_u32(&mut sparse_degrees, count);
+    }
+    let mut sparse_adj = Vec::with_capacity(4 * count as usize);
+    let mut row: Vec<VertexId> = Vec::new();
+    for &v in &order {
+        row.clear();
+        row.extend(
+            graph
+                .neighbors(sparse.view_of(v))
+                .iter()
+                .map(|&w| to_view[sparse.original_of(w) as usize]),
+        );
+        row.sort_unstable();
+        for &w in &row {
             push_u32(&mut sparse_adj, w);
-            count += 1;
         }
     }
-    let total = u32::try_from(count)
-        .map_err(|_| StoreError::Invalid("sparse adjacency exceeds u32 entries".into()))?;
-    push_u32(&mut sparse_offsets, total);
 
     let sections: [(u32, Vec<u8>); SECTION_COUNT] = [
         (SECTION_LANDMARKS, landmarks),
         (SECTION_HIGHWAY, matrix),
         (SECTION_LABEL_OFFSETS, label_offsets),
         (SECTION_LABEL_DATA, label_data),
-        (SECTION_SPARSE_OFFSETS, sparse_offsets),
+        (SECTION_SPARSE_DEGREES, sparse_degrees),
         (SECTION_SPARSE_ADJ, sparse_adj),
     ];
 

@@ -1,5 +1,6 @@
-//! `hcl-store`: the compressed on-disk index container (`HCLSTOR1`) and
-//! zero-copy memory-mapped serving for highway cover labellings.
+//! `hcl-store`: the compressed on-disk index container (`HCLSTOR1`, format
+//! version 2) and zero-copy memory-mapped serving for highway cover
+//! labellings.
 //!
 //! The in-memory pipeline builds an index once and keeps it resident; this
 //! crate makes one serving *generation* a single immutable file:
@@ -12,7 +13,8 @@
 //!   [`hcl_core::LabelStorage`] + [`hcl_core::SparseNeighbors`] directly
 //!   over the mapped bytes, so the Lemma 5.1 merge and the bounded
 //!   bidirectional search run with **no deserialisation** — labels decode
-//!   lazily during the merge, the `u32` sections are served as slices over
+//!   lazily during the merge, the `u32` sections — the degree-ordered
+//!   sparse rows the search walks among them — are served as slices over
 //!   the mapping;
 //! * [`PackedOracle`] wraps a view with a context pool into the same
 //!   distance-oracle surface [`hcl_core::SharedOracle`] exposes, so the
@@ -43,7 +45,8 @@ pub enum StoreError {
     Io(std::io::Error),
     /// The file does not start with the `HCLSTOR1` magic.
     BadMagic,
-    /// The container version is newer than this build understands.
+    /// The container version is not the one this build reads: a newer
+    /// file, or an older one that must be re-packed.
     UnsupportedVersion {
         /// Version found in the file header.
         found: u32,
@@ -67,6 +70,12 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
             StoreError::BadMagic => write!(f, "not a packed index (bad magic)"),
+            StoreError::UnsupportedVersion { found } if *found < format::VERSION => write!(
+                f,
+                "packed index version {found} is older than this build's {}; re-pack it with \
+                 `hcl pack <graph> <index> --out <file.hclx>`",
+                format::VERSION
+            ),
             StoreError::UnsupportedVersion { found } => {
                 write!(
                     f,

@@ -1,28 +1,35 @@
 //! Zero-copy read access to a packed index: [`IndexView`] maps the file
 //! and serves queries directly over the mapped bytes.
 //!
-//! The `u32` sections (landmarks, highway matrix, both offset arrays,
-//! sparse adjacency) are handed out as `&[u32]` slices straight over the
-//! mapping — the 8-byte section alignment plus the page alignment of `mmap`
-//! make the casts sound, and little-endian layout matches every target this
-//! workspace supports. Labels are the one encoded section: the
-//! [`PackedLabelIter`] decodes delta-varints lazily *during* the Lemma 5.1
-//! merge (decode-on-merge), so a query never materialises a label.
+//! The `u32` sections (landmarks, highway matrix, label offsets, sparse
+//! degree table, sparse adjacency) are handed out as `&[u32]` slices
+//! straight over the mapping — the 8-byte section alignment plus the page
+//! alignment of `mmap` make the casts sound, and little-endian layout
+//! matches every target this workspace supports. Labels are the one
+//! encoded section: the [`PackedLabelIter`] decodes delta-varints lazily
+//! *during* the Lemma 5.1 merge (decode-on-merge), so a query never
+//! materialises a label.
 //!
-//! Opening validates the whole file — structure, per-section checksums, and
-//! a full decode of every label stream — so the query path can assume every
-//! invariant the in-memory index upholds and contains no panics, unwraps,
-//! or corruption branches. Validation is a single sequential read of the
-//! file (the checksums alone require that), which also pre-faults the page
-//! cache; it is still an order of magnitude cheaper than the allocate-and-
-//! copy deserialising load it replaces.
+//! The sparsified graph is stored in view (degree-ordered) space, so the
+//! bounded search reads neighbour rows straight out of the mapping. The
+//! only owned state is the O(r) rank index and two `n`-word arrays derived
+//! at open from the section-5 degree table with the canonical counting
+//! sort ([`hcl_graph::order::degree_descending_ranks`]): `to_view`, which
+//! translates the two query endpoints, and the view-space row offsets.
+//!
+//! Opening validates the whole file — structure, per-section checksums, a
+//! full decode of every label stream, and every sparse row against the
+//! derived order — so the query path can assume every invariant the
+//! in-memory index upholds and contains no panics, unwraps, or corruption
+//! branches. Validation is a single sequential read of the file (the
+//! checksums alone require that), which also pre-faults the page cache.
 
 use crate::format::{self, HEADER_BYTES, SECTION_COUNT, SECTION_ENTRY_BYTES};
 use crate::sys::Mmap;
 use crate::varint;
 use crate::StoreError;
-use hcl_core::{LabelStorage, SparseNeighbors, SparseView};
-use hcl_graph::{CsrGraph, VertexId, INF};
+use hcl_core::{LabelStorage, SparseNeighbors};
+use hcl_graph::{VertexId, INF};
 use std::ops::Range;
 use std::path::Path;
 
@@ -68,17 +75,17 @@ pub struct IndexView {
     highway: Range<usize>,
     label_offsets: Range<usize>,
     label_data: Range<usize>,
-    sparse_offsets: Range<usize>,
+    sparse_degrees: Range<usize>,
     sparse_adj: Range<usize>,
     /// `(vertex, rank)` pairs sorted by vertex — the O(r) replacement for
     /// the in-memory index's O(n) rank table; lookups binary-search it.
     rank_index: Vec<(VertexId, u32)>,
-    /// The degree-ordered sparse view, reconstructed at open time from the
-    /// original-id-space CSR sections. The bounded search traverses this
-    /// owned copy (cache-ordered), not the mapped sections; the on-disk
-    /// layout is unchanged, the relabelling is a decode-time
-    /// representation.
-    sparse: SparseView,
+    /// `to_view[original] = view`: the canonical degree order, derived at
+    /// open from the degree table.
+    to_view: Vec<VertexId>,
+    /// View vertex `v`'s row is `SPARSE_ADJ[row_offsets[v]..row_offsets[v + 1]]`
+    /// (entry indices); length `n + 1`.
+    row_offsets: Vec<u32>,
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -134,6 +141,12 @@ impl IndexView {
         Self::from_backing(Backing::Owned { buf, len: image.len() })
     }
 
+    /// The whole file image the view serves from: the mapping, or the
+    /// owned buffer of the fallback and [`from_bytes`](Self::from_bytes).
+    pub fn as_bytes(&self) -> &[u8] {
+        self.backing.bytes()
+    }
+
     /// Whether this view serves from a live file mapping (`false`: the
     /// owned-read fallback or [`from_bytes`](Self::from_bytes)).
     pub fn is_mapped(&self) -> bool {
@@ -156,7 +169,7 @@ impl IndexView {
         let section_count = read_u32(bytes, 12) as usize;
         if section_count != SECTION_COUNT {
             return Err(StoreError::Corrupt(format!(
-                "v1 file must have {SECTION_COUNT} sections, found {section_count}"
+                "file must have {SECTION_COUNT} sections, found {section_count}"
             )));
         }
         let n = read_u64(bytes, 16);
@@ -172,14 +185,14 @@ impl IndexView {
             return Err(StoreError::Corrupt(format!("implausible landmark count {r}")));
         }
         if flags != 0 {
-            return Err(StoreError::Corrupt(format!("unknown flags {flags:#x} (must be 0 in v1)")));
+            return Err(StoreError::Corrupt(format!("unknown flags {flags:#x} (must be 0)")));
         }
         let table_end = HEADER_BYTES as u64 + (SECTION_COUNT * SECTION_ENTRY_BYTES) as u64;
         if file_len < table_end {
             return Err(StoreError::Truncated { needed: table_end, actual: file_len });
         }
 
-        // Section table: every v1 kind exactly once, each section in
+        // Section table: every kind exactly once, each section in
         // bounds, aligned, and passing its checksum.
         let mut ranges: [Option<Range<usize>>; SECTION_COUNT] = Default::default();
         for i in 0..SECTION_COUNT {
@@ -216,7 +229,7 @@ impl IndexView {
             }
             *slot = Some(range);
         }
-        let [landmarks, highway, label_offsets, label_data, sparse_offsets, sparse_adj] =
+        let [landmarks, highway, label_offsets, label_data, sparse_degrees, sparse_adj] =
             ranges.map(|r| r.expect("all six kinds seen exactly once"));
 
         // Dimension checks tie section lengths to the header counts.
@@ -232,7 +245,7 @@ impl IndexView {
         expect("landmarks", &landmarks, 4 * r)?;
         expect("highway", &highway, 4 * r * r)?;
         expect("label offsets", &label_offsets, 4 * (n + 1))?;
-        expect("sparse offsets", &sparse_offsets, 4 * (n + 1))?;
+        expect("sparse degree table", &sparse_degrees, 4 * (n + 1))?;
         if sparse_adj.len() % 4 != 0 {
             return Err(StoreError::Corrupt("sparse adjacency not a whole number of u32s".into()));
         }
@@ -246,18 +259,20 @@ impl IndexView {
             highway,
             label_offsets,
             label_data,
-            sparse_offsets,
+            sparse_degrees,
             sparse_adj,
             rank_index: Vec::new(),
-            sparse: SparseView::from_original_space(CsrGraph::empty(0), 0),
+            to_view: Vec::new(),
+            row_offsets: Vec::new(),
         };
         view.validate_contents()
     }
 
     /// Content validation beyond structure: landmark ids, highway matrix
     /// invariants, offset monotonicity, a full decode of every label
-    /// stream, and sparsified-CSR sanity. On success the rank index is
-    /// built and the view is ready to serve.
+    /// stream, the sparse degree table, and every view-space sparse row.
+    /// On success the rank index and the derived order are built and the
+    /// view is ready to serve.
     fn validate_contents(mut self) -> Result<IndexView, StoreError> {
         let n = self.n as u32;
         let r = self.r as u32;
@@ -353,49 +368,66 @@ impl IndexView {
             )));
         }
 
-        // Sparsified CSR: monotone offsets spanning the adjacency section,
-        // in-range sorted neighbour lists, and isolated landmarks.
-        let sparse_offsets = self.sparse_offsets_slice();
-        let adj_count = (self.sparse_adj.len() / 4) as u32;
-        if sparse_offsets[0] != 0 || sparse_offsets[self.n] != adj_count {
-            return Err(StoreError::Corrupt(
-                "sparse offsets do not span the adjacency section".into(),
-            ));
+        // Sparse degree table: prefix sums from 0 to the adjacency length,
+        // non-decreasing, with degree 0 on every landmark.
+        let prefix = self.sparse_degrees_slice();
+        let adj_len = self.sparse_adj.len() / 4;
+        if prefix[0] != 0 || prefix[self.n] as usize != adj_len {
+            return Err(StoreError::Corrupt(format!(
+                "sparse degree table totals {}, adjacency section holds {adj_len} entries",
+                prefix[self.n]
+            )));
         }
-        for v in 0..self.n {
-            if sparse_offsets[v] > sparse_offsets[v + 1] {
-                return Err(StoreError::Corrupt(format!("sparse offsets decrease at vertex {v}")));
-            }
-            let row = &self.sparse_adj_slice()
-                [sparse_offsets[v] as usize..sparse_offsets[v + 1] as usize];
-            if !row.is_empty() && self.rank(v as u32).is_some() {
-                return Err(StoreError::Corrupt(format!("landmark {v} has sparse neighbours")));
-            }
+        if let Some(v) = (0..self.n).find(|&v| prefix[v] > prefix[v + 1]) {
+            return Err(StoreError::Corrupt(format!(
+                "sparse degree table decreases at vertex {v}"
+            )));
+        }
+        if let Some(&l) =
+            self.landmark_slice().iter().find(|&&l| prefix[l as usize + 1] != prefix[l as usize])
+        {
+            return Err(StoreError::Corrupt(format!("landmark {l} has sparse neighbours")));
+        }
+
+        // Derive the canonical order and the view-space row offsets.
+        let degree = |v: VertexId| (prefix[v as usize + 1] - prefix[v as usize]) as usize;
+        let to_view = hcl_graph::order::degree_descending_ranks(self.n, degree);
+        let mut row_offsets = vec![0u32; self.n + 1];
+        for (v, &at) in to_view.iter().enumerate() {
+            row_offsets[at as usize + 1] = degree(v as VertexId) as u32;
+        }
+        for at in 0..self.n {
+            row_offsets[at + 1] += row_offsets[at];
+        }
+
+        // Rows: strictly sorted, no self-loops, and every neighbour a
+        // vertex of nonzero degree. Degree-0 vertices (landmarks among
+        // them) take the last view ids, so that is one bound check that
+        // also rules out ids >= n.
+        let live = (0..self.n).find(|&at| row_offsets[at] == row_offsets[at + 1]).unwrap_or(self.n);
+        let adj = self.sparse_adj_slice();
+        for at in 0..self.n {
+            let row = &adj[row_offsets[at] as usize..row_offsets[at + 1] as usize];
             let mut prev: Option<u32> = None;
             for &w in row {
-                if w >= n {
+                if w as usize >= live {
                     return Err(StoreError::Corrupt(format!(
-                        "sparse neighbour {w} out of range at vertex {v}"
+                        "sparse neighbour {w} of view vertex {at} is out of range or isolated"
                     )));
                 }
                 if prev.is_some_and(|p| p >= w) {
                     return Err(StoreError::Corrupt(format!(
-                        "sparse neighbours of {v} not strictly sorted"
+                        "sparse row of view vertex {at} not strictly sorted"
                     )));
+                }
+                if w as usize == at {
+                    return Err(StoreError::Corrupt(format!("self-loop at view vertex {at}")));
                 }
                 prev = Some(w);
             }
         }
-
-        // Materialise the degree-ordered sparse view from the validated
-        // original-id CSR sections. The relabelling is deterministic, so
-        // the packed path reconstructs the exact view the in-memory path
-        // builds from the same graph — answers stay byte-identical.
-        let offsets: Vec<usize> = sparse_offsets.iter().map(|&o| o as usize).collect();
-        let adj: Vec<VertexId> = self.sparse_adj_slice().to_vec();
-        let graph = CsrGraph::from_csr_parts(offsets, adj)
-            .map_err(|e| StoreError::Corrupt(format!("sparse CSR rejected: {e}")))?;
-        self.sparse = SparseView::from_original_space(graph, 0);
+        self.to_view = to_view;
+        self.row_offsets = row_offsets;
         Ok(self)
     }
 
@@ -427,8 +459,8 @@ impl IndexView {
     }
 
     #[inline]
-    fn sparse_offsets_slice(&self) -> &[u32] {
-        self.u32_slice(self.sparse_offsets.clone())
+    fn sparse_degrees_slice(&self) -> &[u32] {
+        self.u32_slice(self.sparse_degrees.clone())
     }
 
     #[inline]
@@ -473,7 +505,7 @@ impl IndexView {
 
     /// Bytes of the packed sparsified-CSR sections.
     pub fn sparse_bytes(&self) -> usize {
-        self.sparse_offsets.len() + self.sparse_adj.len()
+        self.sparse_degrees.len() + self.sparse_adj.len()
     }
 
     /// Undirected edge count of the sparsified graph.
@@ -559,11 +591,13 @@ impl LabelStorage for IndexView {
 impl SparseNeighbors for IndexView {
     #[inline]
     fn view_of(&self, v: VertexId) -> VertexId {
-        self.sparse.view_of(v)
+        self.to_view[v as usize]
     }
 
     #[inline]
     fn sparse_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.sparse.graph().neighbors(v)
+        let v = v as usize;
+        let row = self.row_offsets[v] as usize..self.row_offsets[v + 1] as usize;
+        &self.sparse_adj_slice()[row]
     }
 }

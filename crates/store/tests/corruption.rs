@@ -7,7 +7,8 @@
 
 use hcl_core::{HighwayCoverLabelling, LabelStorage, SparseNeighbors, SparseView};
 use hcl_graph::{generate, VertexId};
-use hcl_store::{pack, IndexView, PackedOracle, StoreError};
+use hcl_store::format::{SECTION_ENTRY_BYTES, SECTION_SPARSE_ADJ, SECTION_SPARSE_DEGREES};
+use hcl_store::{pack, varint, IndexView, PackedOracle, StoreError};
 
 fn packed_image() -> (Vec<u8>, HighwayCoverLabelling, SparseView) {
     let g = generate::barabasi_albert(60, 3, 17);
@@ -133,4 +134,77 @@ fn damaged_files_on_disk_fail_to_open() {
     assert!(matches!(PackedOracle::open(&noise), Err(StoreError::BadMagic)));
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites section `kind`'s payload as `u32` words through `edit`, then
+/// re-seals its checksum — damage only content validation can catch.
+fn with_section(image: &[u8], kind: u32, edit: impl FnOnce(&mut Vec<u32>)) -> Vec<u8> {
+    let mut image = image.to_vec();
+    let at = (0..6)
+        .map(|i| 40 + i * SECTION_ENTRY_BYTES)
+        .find(|&e| u32::from_le_bytes(image[e..e + 4].try_into().unwrap()) == kind)
+        .expect("section present");
+    let field =
+        |i: usize| u64::from_le_bytes(image[at + i..at + i + 8].try_into().unwrap()) as usize;
+    let (offset, len) = (field(8), field(16));
+    let mut words: Vec<u32> = image[offset..offset + len]
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+        .collect();
+    edit(&mut words);
+    let payload: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    assert_eq!(payload.len(), len, "edits keep the section length");
+    image[offset..offset + len].copy_from_slice(&payload);
+    image[at + 24..at + 32].copy_from_slice(&varint::section_checksum(&payload).to_le_bytes());
+    image
+}
+
+fn corrupt_because(image: &[u8], why: &str) {
+    match IndexView::from_bytes(image) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains(why), "{msg:?} lacks {why:?}"),
+        other => panic!("expected corruption ({why}), got {other:?}"),
+    }
+}
+
+#[test]
+fn resealed_sparse_damage_is_caught_by_content_checks() {
+    let (image, hcl, sparse) = packed_image();
+    let n = hcl.labels().num_vertices() as u32;
+    assert!(sparse.graph().degree(0) >= 2, "view vertex 0 is the top-degree row");
+
+    // The degree table's total disagrees with section 6's length.
+    let image_total = with_section(&image, SECTION_SPARSE_DEGREES, |d| *d.last_mut().unwrap() += 1);
+    corrupt_because(&image_total, "sparse degree table totals");
+
+    // A view row out of order: swap the first two entries of view row 0.
+    let unsorted = with_section(&image, SECTION_SPARSE_ADJ, |a| a.swap(0, 1));
+    corrupt_because(&unsorted, "not strictly sorted");
+
+    // A view row holding an id >= n.
+    let out_of_range = with_section(&image, SECTION_SPARSE_ADJ, |a| a[0] = n);
+    corrupt_because(&out_of_range, "out of range");
+
+    // A landmark with nonzero degree: move one unit of degree from the next
+    // vertex with neighbours onto the landmark, keeping the table monotone
+    // and its total unchanged.
+    let landmark = hcl.highway().landmark(0) as usize;
+    let donor = (landmark + 1..n as usize)
+        .find(|&v| sparse.graph().degree(sparse.view_of(v as VertexId)) > 0)
+        .expect("a vertex after the landmark has neighbours");
+    let landmark_row = with_section(&image, SECTION_SPARSE_DEGREES, |d| {
+        for p in &mut d[landmark + 1..=donor] {
+            *p += 1;
+        }
+    });
+    corrupt_because(&landmark_row, &format!("landmark {landmark} has sparse neighbours"));
+}
+
+#[test]
+fn version_1_images_are_refused_with_a_repack_hint() {
+    let (image, _, _) = packed_image();
+    let mut v1 = image.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let err = IndexView::from_bytes(&v1).unwrap_err();
+    assert!(matches!(err, StoreError::UnsupportedVersion { found: 1 }), "{err:?}");
+    assert!(err.to_string().contains("hcl pack"), "{err}");
 }

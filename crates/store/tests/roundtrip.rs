@@ -145,6 +145,82 @@ fn packed_oracle_serves_from_disk_via_mmap() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn mapped_view_serves_sparse_rows_from_the_mapping() {
+    // The zero-copy guard: every neighbour row the bounded search reads
+    // must point into the file mapping. A reader that copies the adjacency
+    // out again (as format v1's did) fails here.
+    let dir = std::env::temp_dir().join("hcl_store_zero_copy_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("index.hclx");
+    let g = generate::barabasi_albert(500, 4, 8);
+    let (hcl, sparse) = build(&g, 10);
+    save_packed(&hcl, &sparse, &path).unwrap();
+
+    let packed = PackedOracle::open(&path).unwrap();
+    let view = packed.view();
+    assert!(view.is_mapped(), "the file must be mapped on this platform");
+    let file = view.as_bytes().as_ptr_range();
+    let file = file.start as usize..=file.end as usize;
+    for v in 0..g.num_vertices() as VertexId {
+        let row = view.sparse_neighbors(v).as_ptr_range();
+        assert!(
+            file.contains(&(row.start as usize)) && file.contains(&(row.end as usize)),
+            "row of view vertex {v} lies outside the mapping"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn packing_a_patched_view_writes_the_canonical_order() {
+    use hcl_core::update::{apply_edit, EdgeEdit};
+    use hcl_graph::traversal::bfs_distances;
+
+    // `with_edit` keeps the view's pre-edit order; the packed file must
+    // still hold the rows in the order the reader derives from the new
+    // degrees. Every edit below changes a degree, so a stale order would
+    // hand rows to the wrong vertices.
+    let g = generate::watts_strogatz(48, 4, 0.2, 5);
+    let (hcl, sparse) = build(&g, 4);
+    let landmarks = hcl.highway().landmarks().to_vec();
+    let free: Vec<VertexId> = (0..48).filter(|v| !landmarks.contains(v)).collect();
+    let (a, b) = (free[0], free[1..].iter().copied().find(|&w| !g.has_edge(free[0], w)).unwrap());
+    let (c, d) =
+        g.edges().find(|&(u, v)| !landmarks.contains(&u) && !landmarks.contains(&v)).unwrap();
+
+    let mut graph = g.clone();
+    let (mut labelling, mut view) = (hcl, sparse);
+    for edit in [EdgeEdit::Add(a, b), EdgeEdit::Delete(c, d)] {
+        let next = apply_edit(&graph, &labelling, &view, edit).unwrap();
+        (graph, labelling, view) = (next.graph, next.labelling, next.sparse);
+
+        let packed = IndexView::from_bytes(&pack(&labelling, &view).unwrap()).unwrap();
+        let fresh = SparseView::build(&graph, labelling.highway());
+        let n = graph.num_vertices() as VertexId;
+        assert!(
+            (0..n).any(|v| view.view_of(v) != fresh.view_of(v)),
+            "{edit}: the edit must leave the patched view's order stale"
+        );
+        let mem = SharedOracle::from_parts(
+            std::sync::Arc::new(graph.clone()),
+            std::sync::Arc::new(labelling.clone()),
+            std::sync::Arc::new(view.clone()),
+        );
+        let mut ctx = QueryContext::new(n as usize);
+        for s in 0..n {
+            assert_eq!(packed.view_of(s), fresh.view_of(s), "{edit}: view id of {s}");
+            let truth = bfs_distances(&graph, s);
+            for t in 0..n {
+                let got = hcl_core::storage::distance_on(&packed, &mut ctx, s, t);
+                let want = (truth[t as usize] != hcl_graph::INF).then_some(truth[t as usize]);
+                assert_eq!(got, want, "{edit}: packed {s}->{t} vs BFS");
+                assert_eq!(got, mem.distance(s, t), "{edit}: packed {s}->{t} vs memory");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
